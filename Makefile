@@ -24,12 +24,14 @@ vet:
 # certificate-attached verdicts, Prometheus metric-name conventions)
 # over every package, then cmd/speclint over the shipped example specs.
 # The geography spec is the known-inconsistent fixture, so exit 1 is
-# its expected verdict there.
+# its expected verdict there. Shop is inconsistent too but must stay
+# lint-clean: the determinism step relies on the solver refuting it.
 lint: $(ANALYZERS)
 	$(GO) vet -vettool=$(abspath $(ANALYZERS)) ./...
 	cd tools/analyzers && $(GO) test ./...
 	$(GO) run ./cmd/speclint -dtd testdata/library.dtd -constraints testdata/library.keys
 	$(GO) run ./cmd/speclint -dtd testdata/school.dtd -constraints testdata/school.keys
+	$(GO) run ./cmd/speclint -dtd testdata/shop.dtd -constraints testdata/shop.keys
 	$(GO) run ./cmd/speclint -dtd testdata/geography.dtd -constraints testdata/geography.keys; \
 		status=$$?; [ $$status -eq 1 ] || { echo "geography: expected exit 1, got $$status"; exit 1; }
 
@@ -50,10 +52,12 @@ race:
 race-core:
 	$(GO) test -race ./internal/ilp ./internal/consistency
 
-# determinism pins the parallel fan-out's contract: on the same spec,
-# a parallel run's JSON report must byte-match the sequential one —
-# even confined to a single CPU, where the pool's scheduling is at its
-# most adversarial.
+# determinism pins the scope executor's contract: on the same spec,
+# a pooled run's JSON report must byte-match the inline one — even
+# confined to a single CPU, where the pool's scheduling is at its most
+# adversarial. The lint prepass refutes geography before any scope
+# runs; shop is the step that reaches the pool: its root scope has
+# two sibling exits, and the scope decomposition refutes it.
 determinism:
 	$(GO) build -o bin/xmlconsist ./cmd/xmlconsist
 	@GOMAXPROCS=1 ./bin/xmlconsist -json -dtd testdata/library.dtd -constraints testdata/library.keys > bin/det-seq.json
@@ -62,6 +66,10 @@ determinism:
 	@GOMAXPROCS=1 ./bin/xmlconsist -json -dtd testdata/geography.dtd -constraints testdata/geography.keys > bin/det-seq.json; [ $$? -eq 1 ]
 	@GOMAXPROCS=1 ./bin/xmlconsist -json -parallel 8 -dtd testdata/geography.dtd -constraints testdata/geography.keys > bin/det-par.json; [ $$? -eq 1 ]
 	@cmp bin/det-seq.json bin/det-par.json || { echo "determinism: parallel JSON output diverged from sequential (geography)"; exit 1; }
+	@GOMAXPROCS=1 ./bin/xmlconsist -json -dtd testdata/shop.dtd -constraints testdata/shop.keys > bin/det-seq.json; [ $$? -eq 1 ]
+	@GOMAXPROCS=1 ./bin/xmlconsist -json -parallel 8 -dtd testdata/shop.dtd -constraints testdata/shop.keys > bin/det-par.json; [ $$? -eq 1 ]
+	@grep -q 'Theorem 4.3' bin/det-seq.json || { echo "determinism: shop must be decided by the scope decomposition"; exit 1; }
+	@cmp bin/det-seq.json bin/det-par.json || { echo "determinism: parallel JSON output diverged from sequential (shop)"; exit 1; }
 	@rm -f bin/det-seq.json bin/det-par.json
 	@echo "determinism: parallel output byte-matches sequential"
 

@@ -122,12 +122,12 @@ type Options struct {
 	Ledger *introspect.Ledger
 	// Parallelism bounds the worker pool that solves independent
 	// hierarchical scope subproblems concurrently on the relative
-	// route (Theorem 4.3 decomposition). 0 and 1 keep the sequential
-	// path (bit-for-bit the pre-parallel behavior, no extra
-	// allocations); N ≥ 2 uses up to N workers; a negative value uses
-	// GOMAXPROCS. Verdicts, certificates, and stats totals are
-	// identical to the sequential path by construction — only wall
-	// time and the order of ledger rows / span subtrees may differ.
+	// route (Theorem 4.3 decomposition). 0 and 1 solve the scopes
+	// inline, one after another on the calling goroutine; N ≥ 2 uses
+	// up to N workers; a negative value uses GOMAXPROCS. Both run the
+	// same per-scope solve, so verdicts, certificates, stats totals
+	// and the span layout are identical at any pool size — only wall
+	// time and the order of ledger rows may differ.
 	Parallelism int
 	// ProfileLabel, when non-empty, runs the check's phases under
 	// runtime/pprof labels — ("digest", ProfileLabel, "phase",
@@ -412,7 +412,7 @@ func dispatch(d *dtd.DTD, set *constraint.Set, opts Options) (Result, error) {
 	if opts.ProfileLabel != "" {
 		// Everything past the prepasses is solver work, labeled as one
 		// "ilp" phase; the relative route refines it with a per-scope
-		// label from inside hierChecker.scope.
+		// label from inside the scope executor's solve.
 		lres := res
 		lopts := opts
 		pprof.Do(labelCtx(opts), pprof.Labels("digest", opts.ProfileLabel, "phase", "ilp"),

@@ -650,3 +650,56 @@ func TestTractableExactKnownInstances(t *testing.T) {
 		t.Fatal("mutual inclusion with unequal counts must be unsat")
 	}
 }
+
+func TestMinimizeWitness(t *testing.T) {
+	// Stars allow huge witnesses; minimization must find the smallest:
+	// root + one a + one b (the a* must produce ≥ 1 a because of the
+	// inclusion's source... no — the inclusion is vacuous with 0 a's,
+	// so the true minimum is root + 1 b).
+	d := dtd.MustParse(`
+<!ELEMENT db (a*, b, b*)>
+<!ELEMENT a EMPTY>
+<!ELEMENT b EMPTY>
+<!ATTLIST a x CDATA #REQUIRED>
+<!ATTLIST b y CDATA #REQUIRED>
+`)
+	set := constraint.MustParseSet("a.x -> a\nb.y -> b\na.x ⊆ b.y")
+	res, err := Check(d, set, Options{MinimizeWitness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Consistent || res.Witness == nil {
+		t.Fatalf("%v (%s)", res.Verdict, res.Diagnosis)
+	}
+	if got := res.Witness.Size(); got != 2 {
+		t.Fatalf("minimized witness has %d elements, want 2 (db, b):\n%s", got, res.Witness.XML())
+	}
+	// Regular constraints too.
+	set2 := constraint.MustParseSet("db._*.b.y -> db._*.b")
+	res2, err := Check(d, set2, Options{MinimizeWitness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Verdict != Consistent || res2.Witness == nil || res2.Witness.Size() != 2 {
+		t.Fatalf("regular minimized witness: %v size=%d", res2.Verdict, res2.Witness.Size())
+	}
+}
+
+func TestMinimizeWitnessKeepsVerdicts(t *testing.T) {
+	// Minimization must not flip verdicts, including with cuts.
+	d := dtd.MustParse(`
+<!ELEMENT db (a | x)>
+<!ELEMENT x EMPTY>
+<!ELEMENT a (b | x)>
+<!ELEMENT b (a, a)>
+<!ATTLIST x v CDATA #REQUIRED>
+`)
+	set := constraint.MustParseSet("x.v -> x")
+	res, err := Check(d, set, Options{MinimizeWitness: true, ILP: ilp.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Consistent {
+		t.Fatalf("verdict = %v", res.Verdict)
+	}
+}

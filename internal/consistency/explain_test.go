@@ -3,6 +3,7 @@ package consistency
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/certificate"
@@ -205,5 +206,89 @@ func TestExplainCheckShortCircuit(t *testing.T) {
 	}
 	if res2.Verdict != Inconsistent {
 		t.Fatalf("verdict without prover %v, want Inconsistent", res2.Verdict)
+	}
+}
+
+// TestMinimalCoreGeography pins the Figure 1 geography core: the
+// absolute country key is irrelevant to the counting conflict and must
+// be dropped. The relative province key stays even though the conflict
+// would survive without it: it is the paired key of the foreign key
+// (the paper's foreign-key definition bundles them), so removing it
+// alone would leave an ill-formed set.
+func TestMinimalCoreGeography(t *testing.T) {
+	d := dtd.MustParse(geoDTD)
+	set := constraint.MustParseSet(geoConstraints)
+	ex, err := Explain(d, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Verdict != Inconsistent {
+		t.Fatalf("verdict %v, want Inconsistent", ex.Verdict)
+	}
+	want := []string{
+		"country(province.name -> province)",
+		"country(capital.inProvince -> capital)",
+		"country(capital.inProvince ⊆ province.name)",
+	}
+	if !reflect.DeepEqual(ex.CoreConstraints, want) {
+		t.Fatalf("core = %q, want %q", ex.CoreConstraints, want)
+	}
+	requireMinimalCore(t, d, set, ex.Core)
+}
+
+// TestMinimalCoreAbsolute surrounds a 3-constraint conflict (two keyed
+// a's into one keyed b) with irrelevant c constraints, which the core
+// must drop.
+func TestMinimalCoreAbsolute(t *testing.T) {
+	d := dtd.MustParse(`
+<!ELEMENT db (a, a, b, c, c)>
+<!ELEMENT a EMPTY>
+<!ELEMENT b EMPTY>
+<!ELEMENT c EMPTY>
+<!ATTLIST a x CDATA #REQUIRED>
+<!ATTLIST b y CDATA #REQUIRED>
+<!ATTLIST c z CDATA #REQUIRED>
+`)
+	set := constraint.MustParseSet(`
+c.z -> c
+a.x -> a
+b.y -> b
+a.x ⊆ b.y
+c.z ⊆ a.x
+`)
+	ex, err := Explain(d, set, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a.x -> a", "b.y -> b", "a.x ⊆ b.y"}
+	if !reflect.DeepEqual(ex.CoreConstraints, want) {
+		t.Fatalf("core = %q, want %q", ex.CoreConstraints, want)
+	}
+	requireMinimalCore(t, d, set, ex.Core)
+}
+
+// TestMinimalCoreUnsatisfiableDTD: when the DTD alone admits no finite
+// document, the spec is inconsistent and the constraint core is empty.
+func TestMinimalCoreUnsatisfiableDTD(t *testing.T) {
+	d := dtd.MustParse(`<!ELEMENT a (b)><!ELEMENT b (b)>`)
+	ex, err := Explain(d, &constraint.Set{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Verdict != Inconsistent || len(ex.Core) != 0 {
+		t.Fatalf("verdict %v, core %v; want Inconsistent with an empty core", ex.Verdict, ex.Core)
+	}
+}
+
+// TestMinimalCoreRejectsConsistent: a consistent spec has no core
+// (Spec.ExplainInconsistency turns this into an error).
+func TestMinimalCoreRejectsConsistent(t *testing.T) {
+	d := dtd.MustParse(`<!ELEMENT a EMPTY>`)
+	ex, err := Explain(d, &constraint.Set{}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Verdict != Consistent || len(ex.Core) != 0 {
+		t.Fatalf("verdict %v, core %v; want Consistent with no core", ex.Verdict, ex.Core)
 	}
 }

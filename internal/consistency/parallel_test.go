@@ -3,11 +3,13 @@ package consistency
 import (
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/constraint"
 	"repro/internal/dtd"
 	"repro/internal/ilp"
+	"repro/internal/obs"
 )
 
 // certJSON canonicalizes a certificate for comparison (scope vectors
@@ -56,6 +58,27 @@ func assertSameOutcome(t *testing.T, label string, seq, par Result) {
 	}
 }
 
+// assertSameSpanLayout checks that the inline loop and an 8-worker
+// pool record the same sequence of span paths: the pool's recorder
+// shards must fold back into the layout the inline loop records.
+func assertSameSpanLayout(t *testing.T, label string, d *dtd.DTD, set *constraint.Set) {
+	t.Helper()
+	paths := func(workers int) []string {
+		rec := obs.New()
+		if _, err := Check(d, set, Options{SkipLint: true, Parallelism: workers, Obs: rec}); err != nil {
+			t.Fatalf("%s parallel=%d: %v", label, workers, err)
+		}
+		var out []string
+		for _, s := range rec.Spans() {
+			out = append(out, s.Path)
+		}
+		return out
+	}
+	if seq, par := paths(1), paths(8); !slices.Equal(seq, par) {
+		t.Fatalf("%s: span layouts differ\nsequential: %q\nparallel:   %q", label, seq, par)
+	}
+}
+
 // TestParallelMatchesSequentialFixtures runs the named paper
 // specifications through every interesting pool size and demands the
 // sequential outcome bit for bit.
@@ -91,6 +114,7 @@ func TestParallelMatchesSequentialFixtures(t *testing.T) {
 					fx.name, workers, par.Stats.Workers, resolveParallelism(workers))
 			}
 		}
+		assertSameSpanLayout(t, fx.name, d, set)
 	}
 }
 
@@ -168,13 +192,10 @@ chapter(holder.h -> holder)
 chapter(section.title ⊆ holder.h)
 `
 
-// TestParallelDeepChain exercises a decomposition deep enough that
-// tasks must wait on grandchildren while the pool is saturated — the
-// no-deadlock property of waiting without a solve slot. The spec has
-// the Figure 4 hierarchical shape: every level carries its own keyed
-// items injecting into a single holder value, which is unsatisfiable.
-func TestParallelDeepChain(t *testing.T) {
-	const deepDTD = `
+// deepDTD/deepConstraints has the Figure 4 hierarchical shape: every
+// level carries its own keyed items injecting into a single holder
+// value, which is unsatisfiable.
+const deepDTD = `
 <!ELEMENT l0 (l1, l1, item0, item0, holder0)>
 <!ELEMENT l1 (l2, l2, item1, item1, holder1)>
 <!ELEMENT l2 (item2, item2, holder2)>
@@ -191,7 +212,8 @@ func TestParallelDeepChain(t *testing.T) {
 <!ATTLIST holder1 v CDATA #REQUIRED>
 <!ATTLIST holder2 v CDATA #REQUIRED>
 `
-	const deepConstraints = `
+
+const deepConstraints = `
 l0(item0.v -> item0)
 l1(item1.v -> item1)
 l2(item2.v -> item2)
@@ -202,6 +224,11 @@ l0(item0.v ⊆ holder0.v)
 l1(item1.v ⊆ holder1.v)
 l2(item2.v ⊆ holder2.v)
 `
+
+// TestParallelDeepChain exercises a decomposition deep enough that
+// tasks must wait on grandchildren while the pool is saturated — the
+// no-deadlock property of waiting without a solve slot.
+func TestParallelDeepChain(t *testing.T) {
 	d := dtd.MustParse(deepDTD)
 	set := constraint.MustParseSet(deepConstraints)
 	if !Hierarchical(d, set) {
@@ -218,6 +245,7 @@ l2(item2.v ⊆ holder2.v)
 		}
 		assertSameOutcome(t, "deep-chain", seq, par)
 	}
+	assertSameSpanLayout(t, "deep-chain", d, set)
 	if seq.Stats.Scopes < 3 {
 		t.Fatalf("scopes = %d, want a real multi-scope decomposition", seq.Stats.Scopes)
 	}

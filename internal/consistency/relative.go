@@ -1,10 +1,8 @@
 package consistency
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"runtime/pprof"
 	"sort"
 
 	"repro/internal/bruteforce"
@@ -79,23 +77,17 @@ func checkRelative(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 		return
 	}
 	res.Method = "hierarchical scope decomposition (Theorem 4.3)"
-	h := &hierChecker{d: d, set: set, opts: opts, contexts: scope.ContextTypes(d, set), memo: map[string]hierScope{}}
-	var root hierScope
-	if workers := resolveParallelism(opts.Parallelism); workers >= 2 {
-		// The fan-out builds its own checker and hands the decided memo
-		// back, rather than borrowing h: passing h into the pool would
-		// make this stack-allocated checker escape and cost the
-		// sequential hot path a heap allocation it never needed.
-		var memo map[string]hierScope
-		root, memo, h.stats = runParallelScopes(d, set, opts, h.contexts, workers)
-		h.memo = memo
+	h := hierChecker{d: d, set: set, opts: opts, contexts: scope.ContextTypes(d, set)}
+	h.plan()
+	workers := resolveParallelism(opts.Parallelism)
+	h.run(workers)
+	if workers >= 2 {
 		res.Stats.Workers = workers
-	} else {
-		root = h.scope(map[string]bool{d.Root: true}, d.Root)
 	}
-	res.Stats.Scopes = len(h.memo)
+	res.Stats.Scopes = len(h.nodes)
 	res.Stats.merge(h.stats)
-	sp.SetInt("scopes", int64(len(h.memo)))
+	sp.SetInt("scopes", int64(len(h.nodes)))
+	root := h.nodes[len(h.nodes)-1]
 	switch {
 	case root.verdict == ilp.Sat:
 		res.conclude(Consistent, h.scopeCertificate())
@@ -118,107 +110,60 @@ func checkRelative(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 	}
 }
 
-// hierScope is the memoized outcome of one (chain, τ) scope problem.
+// hierScope is the outcome of one (chain, τ) scope problem.
 type hierScope struct {
 	verdict ilp.Verdict
 	// enc and vals allow witness reconstruction for satisfiable
 	// scopes.
 	enc  *cardinality.AbsoluteEncoding
 	vals []int64
-	// exits lists the exit types and whether each was forced absent.
-	exits  []string
-	banned map[string]bool
-	chain  map[string]bool
 	// digest fingerprints the scope's base system (before forced-zero
 	// constants and connectivity cuts), for refutation certificates.
 	digest string
 }
 
+// scopeNode is one (chain, τ) problem of the scope DAG and, once run
+// has decided it, its outcome.
+type scopeNode struct {
+	key   string
+	tau   string
+	chain map[string]bool
+	sd    *dtd.DTD
+	// exits lists the scope's exit types; exitNodes holds the node
+	// index of each exit's own scope problem.
+	exits     []string
+	exitNodes []int
+	hierScope
+}
+
+// hierChecker decides one hierarchical specification: plan lists its
+// scope DAG in nodes, run decides them.
 type hierChecker struct {
 	d        *dtd.DTD
 	set      *constraint.Set
 	opts     Options
 	contexts map[string]bool
-	memo     map[string]hierScope
+	nodes    []scopeNode
 	stats    Stats
 }
 
-// scope decides the consistency of the sub-documents rooted at τ nodes
-// reached along a chain of restricted types.
-func (h *hierChecker) scope(chain map[string]bool, tau string) hierScope {
-	key := scope.ChainKey(chain, tau)
-	if s, ok := h.memo[key]; ok {
-		return s
-	}
-	sp := h.opts.Obs.Start("scope")
-	sp.SetString("type", tau)
-	defer sp.End()
-	// Mark in-progress defensively (non-recursive DTDs cannot loop).
-	h.memo[key] = hierScope{verdict: ilp.Unknown}
-
-	sd, exits := scope.DTD(h.d, h.contexts, tau)
-	// Recurse into exits first: inconsistent exits must not occur.
-	banned := map[string]bool{}
-	var undecided []string
-	for _, e := range exits {
-		sub := map[string]bool{e: true}
-		for c := range chain {
-			sub[c] = true
-		}
-		switch h.scope(sub, e).verdict {
-		case ilp.Unsat:
-			banned[e] = true
-		case ilp.Unknown:
-			// The common case allocates nothing here: the slice stays
-			// nil unless some exit actually came back undecided.
-			undecided = append(undecided, e)
-		case ilp.Sat:
-			// Consistent exits stay allowed.
-		}
-	}
-
-	// The solve runs under a per-scope pprof label when the check is
-	// labeled, so a CPU profile of a hierarchical check attributes
-	// samples to individual scope subproblems. Nested pprof.Do calls
-	// from the exit recursion above have already restored this
-	// goroutine's labels, so the scope label stacks on the check-wide
-	// ("digest", "phase") set. The closure is created only on the
-	// labeled branch — the unlabeled path must not allocate for it.
-	if h.opts.ProfileLabel != "" {
-		pprof.Do(context.Background(), pprof.Labels("scope", key),
-			func(context.Context) { h.solveScope(chain, tau, key, sd, exits, banned, undecided) })
-		return h.memo[key]
-	}
-	return h.solveScope(chain, tau, key, sd, exits, banned, undecided)
-}
-
-// solveScope decides one (chain, τ) scope problem on the sequential
-// path and memoizes the outcome. The exit recursion has already run;
-// banned lists the exits proved inconsistent and undecided the exits
-// that came back Unknown.
-func (h *hierChecker) solveScope(chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
-	out := solveScopeProblem(h, h.opts, &h.stats, len(h.memo), chain, tau, key, sd, exits, banned, undecided)
-	h.memo[key] = out
-	return out
-}
-
-// solveScopeProblem encodes and decides one (chain, τ) scope problem
-// and records its ledger row. It touches no shared checker state — ILP
-// effort accumulates into st, and the exit recursion's outcome arrives
-// as data (banned and undecided) — so the sequential recursion and the
-// parallel fan-out run the exact same decision logic and produce
-// identical hierScope outcomes.
+// solveScopeProblem encodes and decides scope problem i and records
+// its ledger row. banned lists the exits proved inconsistent and
+// undecided the exits that came back Unknown. It writes no checker
+// state: ILP effort accumulates into st and the caller stores the
+// outcome, so the inline loop and the pool run the same decision
+// logic.
 //
-// The probe starts after the exit recursion, so a parent scope's
-// row covers its own encode+solve only — children account for
-// themselves and the ledger's total stays the real wall time. The
-// live scope position is published here too: the exits recursed into
-// earlier moved it, so re-mark this scope before its solve runs.
-func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, chain map[string]bool, tau, key string, sd *dtd.DTD, exits []string, banned map[string]bool, undecided []string) hierScope {
-	opts.Progress.SetScope(scopeIndex, key)
+// The ledger probe covers this scope's own encode+solve only — exits
+// account for themselves, so the ledger's total stays the real wall
+// time.
+func solveScopeProblem(h *hierChecker, opts Options, st *Stats, i int, banned, undecided []string) hierScope {
+	n := &h.nodes[i]
+	key, tau := n.key, n.tau
+	opts.Progress.SetScope(i+1, key)
 	probe := beginProbe(opts.Ledger)
-	local, forceZero := scope.LocalSet(h.d, sd, h.set, chain, tau)
-	enc, err := cardinality.EncodeAbsolute(sd, local)
+	local, forceZero := scope.LocalSet(h.d, n.sd, h.set, n.chain, tau)
+	enc, err := cardinality.EncodeAbsolute(n.sd, local)
 	if err != nil {
 		probe.record(key, tau, ilp.Unknown, ilp.Stats{}, 0, local)
 		return hierScope{verdict: ilp.Unknown}
@@ -230,10 +175,7 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, 
 		// compares against a fresh compilation of exactly this system.
 		digest = enc.Flow.Sys.Digest()
 	}
-	for e := range banned {
-		forceZero = append(forceZero, e)
-	}
-	for _, t := range forceZero {
+	for _, t := range append(forceZero, banned...) {
 		if fn := enc.Flow.Lookup(t, 0); fn >= 0 {
 			enc.Flow.Sys.AddConst(enc.Flow.Vars[fn], 0)
 		}
@@ -246,9 +188,6 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, scopeIndex int, 
 		verdict: ilpRes.Verdict,
 		enc:     enc,
 		vals:    ilpRes.Values,
-		exits:   exits,
-		banned:  banned,
-		chain:   chain,
 		digest:  digest,
 	}
 	// Unsat is exact (only provably inconsistent exits were banned).
@@ -288,7 +227,7 @@ func scopeUsesUndecidedExit(s hierScope, undecided []string) bool {
 	return false
 }
 
-// scopeCertificate packages every satisfiable memoized scope solution
+// scopeCertificate packages every satisfiable scope solution
 // into a scope-vector witness certificate (the evidence behind a
 // Theorem 4.3 Consistent verdict). Only exact scope encodings can
 // certify; if any satisfiable scope's encoding is inexact the
@@ -298,7 +237,7 @@ func (h *hierChecker) scopeCertificate() *certificate.Certificate {
 		return nil
 	}
 	var scopes []certificate.ScopeWitness
-	for key, s := range h.memo {
+	for _, s := range h.nodes {
 		if s.verdict != ilp.Sat || s.vals == nil || s.enc == nil {
 			continue
 		}
@@ -306,8 +245,8 @@ func (h *hierChecker) scopeCertificate() *certificate.Certificate {
 			return nil
 		}
 		scopes = append(scopes, certificate.ScopeWitness{
-			Key:    key,
-			Type:   keyTau(key),
+			Key:    s.key,
+			Type:   s.tau,
 			Chain:  chainNames(s.chain),
 			Vector: s.enc.Flow.Sys.NamedValues(s.vals),
 		})
@@ -334,16 +273,6 @@ func chainNames(chain map[string]bool) []string {
 	return names
 }
 
-// keyTau extracts the τ component of a ChainKey.
-func keyTau(key string) string {
-	for i := len(key) - 1; i >= 0; i-- {
-		if key[i] == '|' {
-			return key[i+1:]
-		}
-	}
-	return key
-}
-
 // attachWitness composes the per-scope witnesses into one document
 // (the construction of Lemma 14): each scope instance is realized from
 // its solution, its values are prefixed with a unique instance id
@@ -352,9 +281,9 @@ func keyTau(key string) string {
 func (h *hierChecker) attachWitness(res *Result) {
 	budget := h.opts.WitnessMaxNodes
 	instance := 0
-	var build func(chain map[string]bool, tau string) (*xmltree.Node, bool)
-	build = func(chain map[string]bool, tau string) (*xmltree.Node, bool) {
-		s := h.memo[scope.ChainKey(chain, tau)]
+	var build func(i int) (*xmltree.Node, bool)
+	build = func(i int) (*xmltree.Node, bool) {
+		s := &h.nodes[i]
 		if s.verdict != ilp.Sat || s.vals == nil {
 			return nil, false
 		}
@@ -385,11 +314,7 @@ func (h *hierChecker) attachWitness(res *Result) {
 			}
 		})
 		for _, n := range exitNodes {
-			sub := map[string]bool{n.Label: true}
-			for c := range chain {
-				sub[c] = true
-			}
-			child, okc := build(sub, n.Label)
+			child, okc := build(s.exitNodes[sort.SearchStrings(s.exits, n.Label)])
 			if !okc {
 				ok = false
 				break
@@ -403,10 +328,10 @@ func (h *hierChecker) attachWitness(res *Result) {
 		if !ok {
 			return nil, false
 		}
-		tree.Root.Label = tau
+		tree.Root.Label = s.tau
 		return tree.Root, true
 	}
-	rootNode, ok := build(map[string]bool{h.d.Root: true}, h.d.Root)
+	rootNode, ok := build(len(h.nodes) - 1)
 	if !ok {
 		res.Diagnosis = "hierarchical witness construction exceeded its budget"
 		return

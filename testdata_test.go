@@ -99,3 +99,25 @@ func TestCorpusLibrary(t *testing.T) {
 		t.Fatalf("witness validation: %v %v", vs, err)
 	}
 }
+
+func TestCorpusShop(t *testing.T) {
+	spec, err := Parse(load(t, "shop.dtd"), load(t, "shop.keys"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spec.Hierarchical() {
+		t.Fatal("shop must be hierarchical")
+	}
+	res, err := spec.Consistent(&Options{SkipWitness: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both sibling scopes are refuted, so the root scope is too; the
+	// lint prepass must leave the refutation to the scope decomposition.
+	if res.Verdict != Inconsistent || res.Method != "hierarchical scope decomposition (Theorem 4.3)" {
+		t.Fatalf("shop: %v by %q", res.Verdict, res.Method)
+	}
+	if res.Stats.Scopes != 3 {
+		t.Fatalf("shop: %d scopes, want 3", res.Stats.Scopes)
+	}
+}

@@ -157,11 +157,11 @@ type Options struct {
 	DisableLP bool
 	// Parallelism bounds the worker pool that solves independent
 	// hierarchical scope subproblems concurrently on the relative
-	// route. 0 or 1 run sequentially; N ≥ 2 allows up to N concurrent
-	// scope solves; negative means one worker per available CPU.
-	// Verdicts, certificates, and stats are identical to the
-	// sequential run by construction — parallelism changes wall time
-	// only.
+	// route. 0 or 1 solve the scopes inline, one after another; N ≥ 2
+	// allows up to N concurrent scope solves; negative means one worker
+	// per available CPU. Every pool size runs the same per-scope solve,
+	// so verdicts, certificates, and stats are identical — parallelism
+	// changes wall time only.
 	Parallelism int
 	// SkipLint disables the static-analysis prepass that short-circuits
 	// to Inconsistent when a sound speclint rule fires.
@@ -669,24 +669,21 @@ func (s *Spec) explain(ctx context.Context, opts *Options) (Explanation, error) 
 // ExplainInconsistency diagnoses an inconsistent specification: it
 // returns a minimal subset of the constraints that is already
 // inconsistent with the DTD (the lines to look at when repairing the
-// specification), or a note that the DTD alone is unsatisfiable. It
-// errors when the specification is not inconsistent.
+// specification), or a note that the DTD alone is unsatisfiable. It is
+// the core of Explain, and errors when the specification is not
+// inconsistent.
 func (s *Spec) ExplainInconsistency() ([]string, error) {
-	core, err := consistency.MinimalCore(s.dtd, s.set, consistency.Options{Obs: s.obs})
+	ex, err := consistency.Explain(s.dtd, s.set, consistency.Options{Obs: s.obs, SkipCertificate: true})
 	if err != nil {
 		return nil, err
 	}
-	if core.DTDUnsatisfiable {
+	if ex.Verdict != consistency.Inconsistent {
+		return nil, fmt.Errorf("xmlspec: ExplainInconsistency on a %v specification", ex.Verdict)
+	}
+	if len(ex.CoreConstraints) == 0 {
 		return []string{"the DTD alone admits no finite document"}, nil
 	}
-	var out []string
-	for _, k := range core.Constraints.Keys {
-		out = append(out, k.String())
-	}
-	for _, c := range core.Constraints.Incls {
-		out = append(out, c.String())
-	}
-	return out, nil
+	return ex.CoreConstraints, nil
 }
 
 // SampleOptions tunes Sample.

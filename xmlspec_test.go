@@ -258,6 +258,11 @@ func TestExplainInconsistency(t *testing.T) {
 	if _, err := ok.ExplainInconsistency(); err == nil {
 		t.Error("explain on consistent spec must error")
 	}
+	unsat := MustParse("<!ELEMENT a (b)><!ELEMENT b (b)>", "")
+	core, err = unsat.ExplainInconsistency()
+	if err != nil || len(core) != 1 || core[0] != "the DTD alone admits no finite document" {
+		t.Errorf("unsatisfiable DTD: core = %q, err = %v", core, err)
+	}
 }
 
 func TestValidateStream(t *testing.T) {
