@@ -85,8 +85,9 @@ bench:
 # serve-smoke builds xmlconsistd, starts it on a random port, and
 # drives the whole serving surface end to end: /healthz, /check with a
 # consistent and an inconsistent spec (asserting spec digests and the
-# X-Request-Id echo), a 1ms-deadline check that must abort with a
-# deadline error, the /debug status pages, a line-by-line validation
+# X-Request-Id echo), /explain on the inconsistent spec (core,
+# derivation and repair hints), a 1ms-deadline check that must abort
+# with a deadline error, the /debug status pages, a line-by-line validation
 # of the /metrics exposition (including rolling-window and SLO
 # burn-rate gauges) — then SIGTERMs the daemon, requires a clean exit,
 # parses the audit log against the responses, and re-runs with a
@@ -121,6 +122,10 @@ bench-journal:
 # face the absolute gates. The allocs gate pins the observer-free
 # fig2/library check at 689 allocs/op — the attach-only introspection
 # invariant: a detached publisher and a nil ledger must cost nothing.
+# The with-certificate gate pins the same check with provenance capture
+# on at 706 allocs/op: no scope system is digested unless it is refuted.
+# No committed run carries that row yet, so the gate checks nothing
+# until the next `make bench-journal` run is committed.
 # The ns gates bound the Figure 3/4 hard families outright; the
 # lp=fast gate is the int64 fast-path sentinel — the same instance on
 # the exact big.Rat tableau takes well over a second, so losing the
@@ -128,6 +133,7 @@ bench-journal:
 bench-watch:
 	$(GO) run ./cmd/benchwatch -threshold 0.75 -ns-floor 50000 \
 		-max-allocs 'fig2/library=689' \
+		-max-allocs 'fig2/library/with-certificate=706' \
 		-max-ns 'fig3/unary-n=4=15000000' \
 		-max-ns 'fig4/hierarchical-levels=4=1500000' \
 		-max-ns 'fig4/hierarchical-levels=6/seq=3000000' \

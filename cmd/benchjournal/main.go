@@ -48,6 +48,9 @@ type benchCase struct {
 	set    *constraint.Set
 	opts   consistency.Options
 	expect consistency.Verdict
+	// certify keeps certificate construction in the timed loop; every
+	// other case times the bare decision.
+	certify bool
 }
 
 const libraryDTD = `
@@ -114,8 +117,14 @@ func cases(seed int64) ([]benchCase, error) {
 		return benchCase{name: name, d: in.D, set: in.Set, opts: in.Opts, expect: in.Expect}
 	}
 	rng := rand.New(rand.NewSource(seed))
+	// The certificate path's cost is gated on its own row: the same
+	// library check with provenance capture left on.
+	certified := library
+	certified.name = "fig2/library/with-certificate"
+	certified.certify = true
 	cs := []benchCase{
 		library,
+		certified,
 		geography,
 		fromInstance("fig3/unary-n=4", experiments.Fig3Unary(rng, 4)),
 		fromInstance("fig4/hierarchical-levels=4", experiments.Fig4Hierarchical(4, true)),
@@ -147,7 +156,7 @@ func cases(seed int64) ([]benchCase, error) {
 func journalEntry(c benchCase, target time.Duration) (benchjournal.Entry, error) {
 	timedOpts := c.opts
 	timedOpts.SkipWitness = true
-	timedOpts.SkipCertificate = true
+	timedOpts.SkipCertificate = !c.certify
 	m, err := benchjournal.Measure(target, func() error {
 		res, err := consistency.Check(c.d, c.set, timedOpts)
 		if err != nil {

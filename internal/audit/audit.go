@@ -24,8 +24,10 @@ import (
 	"repro/internal/introspect"
 )
 
-// Event is one audited check. It is written as a single JSON line and
-// is designed to be joinable with the other serving artifacts: the
+// Event is one audited check, and the daemon's single per-check
+// record: the in-flight table, this log and the flight recorder all
+// read the same event. It is written as a single JSON line and is
+// designed to be joinable with the other serving artifacts: the
 // request ID matches the X-Request-Id header and the trace file name,
 // the spec digest matches the /check response, certificate, and
 // benchmark-journal entries.
@@ -51,7 +53,8 @@ type Event struct {
 	// Status is the HTTP status the request was answered with.
 	Status int `json:"status,omitempty"`
 	// Abort is the machine-readable abort cause ("deadline",
-	// "canceled", "error"; empty for completed checks).
+	// "canceled", "internal"; empty for completed checks). The flight
+	// recorder's capture of a panicking request also uses "panic".
 	Abort string `json:"abort,omitempty"`
 	// ElapsedUS is the end-to-end check latency in microseconds.
 	ElapsedUS int64 `json:"elapsed_us"`

@@ -18,7 +18,7 @@ import (
 	"repro/internal/dtd"
 )
 
-func checkRoundTrip(t *testing.T, name string, d *dtd.DTD, set *constraint.Set, opts Options) Verdict {
+func checkRoundTrip(t *testing.T, name string, d *dtd.DTD, set *constraint.Set, opts Options) Result {
 	t.Helper()
 	res, err := Check(d, set, opts)
 	if err != nil {
@@ -44,7 +44,7 @@ func checkRoundTrip(t *testing.T, name string, d *dtd.DTD, set *constraint.Set, 
 			t.Errorf("%s: certificate does not verify: %v\ncertificate: %s", name, err, res.Certificate)
 		}
 	}
-	return res.Verdict
+	return res
 }
 
 // TestCertificateRoundTripTestdata runs every testdata specification
@@ -83,11 +83,28 @@ func TestCertificateRoundTripTestdata(t *testing.T) {
 			if set.Validate(d) != nil {
 				continue
 			}
-			v := checkRoundTrip(t, filepath.Base(keyPath), d, set, Options{})
-			if v == Unknown {
+			res := checkRoundTrip(t, filepath.Base(keyPath), d, set, Options{})
+			if res.Verdict == Unknown {
 				t.Errorf("%s: testdata spec is Unknown", keyPath)
 			}
 		}
+	}
+
+	// One more input no testdata spec reaches: the absolute encoding
+	// refutes this recursive spec only after a connectivity cut, so the
+	// refutation must fingerprint the system as it stood before the cut.
+	d := dtd.MustParse(`
+<!ELEMENT e0 (e1 | EMPTY)>
+<!ATTLIST e0 a0 CDATA #REQUIRED a1 CDATA #REQUIRED>
+<!ELEMENT e1 ((EMPTY | EMPTY), e1)>
+<!ATTLIST e1 a0 CDATA #REQUIRED>
+`)
+	set := constraint.MustParseSet("e1.a0 -> e1\ne0.a1 ⊆ e1.a0")
+	res := checkRoundTrip(t, "refuted after a cut", d, set, Options{SkipLint: true})
+	if res.Verdict != Inconsistent || res.Stats.Cuts < 1 ||
+		res.Certificate == nil || res.Certificate.Refutation.Source != certificate.SourceILP {
+		t.Errorf("refuted after a cut: verdict %v, %d cuts, certificate %s; want an ILP refutation after >= 1 cut",
+			res.Verdict, res.Stats.Cuts, res.Certificate)
 	}
 }
 

@@ -523,13 +523,14 @@ func checkAbsolute(d *dtd.DTD, set *constraint.Set, prof constraint.Profile, opt
 		res.Method = "cardinality relaxation (refutation-sound) + bounded search"
 		sp.SetString("exactness", "refutation-sound relaxation")
 	}
+	base := enc.Flow.Sys.Mark()
 	ilpRes, cuts := decideFlow(enc.Flow, opts)
 	probe.record("document", d.Root, ilpRes.Verdict, ilpRes.Stats, cuts, set)
 	res.Stats.addILP(ilpRes.Stats)
 	res.Stats.Cuts += cuts
 	switch ilpRes.Verdict {
 	case ilp.Unsat:
-		res.conclude(Inconsistent, infeasibleCert(d, set, certificate.EncodingAbsolute, opts))
+		res.conclude(Inconsistent, infeasibleCert(enc.Flow.Sys, base, certificate.EncodingAbsolute, opts))
 	case ilp.Unknown:
 		res.Verdict = Unknown
 		res.Diagnosis = "integer search exhausted its budget"
@@ -592,13 +593,14 @@ func checkRegular(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 		sp.SetInt("cells", int64(len(enc.CellVars)))
 	}
 	res.Method = "state-tagged cell encoding (Theorem 3.4)"
+	base := enc.Flow.Sys.Mark()
 	ilpRes, cuts := decideFlow(enc.Flow, opts)
 	probe.record("document", d.Root, ilpRes.Verdict, ilpRes.Stats, cuts, set)
 	res.Stats.addILP(ilpRes.Stats)
 	res.Stats.Cuts += cuts
 	switch ilpRes.Verdict {
 	case ilp.Unsat:
-		res.conclude(Inconsistent, infeasibleCert(d, set, certificate.EncodingRegular, opts))
+		res.conclude(Inconsistent, infeasibleCert(enc.Flow.Sys, base, certificate.EncodingRegular, opts))
 	case ilp.Unknown:
 		res.Verdict = Unknown
 		res.Diagnosis = "integer search exhausted its budget"
@@ -678,31 +680,15 @@ func documentCert(w *xmltree.Tree, opts Options) *certificate.Certificate {
 	return certificate.FromDocument(w.XML())
 }
 
-// infeasibleCert fingerprints the refuted base system by re-encoding
-// the spec (the decide loop has already mutated the solved system with
-// connectivity cuts, so its digest would not match a verifier's fresh
-// compilation). Re-encoding is solver-free and only happens on
-// Inconsistent conclusions.
-func infeasibleCert(d *dtd.DTD, set *constraint.Set, encName certificate.Encoding, opts Options) *certificate.Certificate {
+// infeasibleCert fingerprints the refuted system as it stood at mark
+// base, before the decide loop appended its connectivity cuts: the
+// verifier compares against a fresh compilation of exactly that
+// system.
+func infeasibleCert(sys *ilp.System, base ilp.Mark, encName certificate.Encoding, opts Options) *certificate.Certificate {
 	if opts.SkipCertificate {
 		return nil
 	}
-	var digest string
-	switch encName {
-	case certificate.EncodingRegular:
-		enc, err := cardinality.EncodeRegular(d, set)
-		if err != nil {
-			return nil
-		}
-		digest = enc.Flow.Sys.Digest()
-	default:
-		enc, err := cardinality.EncodeAbsolute(d, set)
-		if err != nil {
-			return nil
-		}
-		digest = enc.Flow.Sys.Digest()
-	}
-	return certificate.FromInfeasible(encName, digest, "the "+string(encName)+" encoding admits no solution")
+	return certificate.FromInfeasible(encName, sys.DigestAt(base), "the "+string(encName)+" encoding admits no solution")
 }
 
 // attachAbsoluteWitness builds and verifies the Lemma 1 witness.

@@ -102,7 +102,7 @@ func checkRelative(d *dtd.DTD, set *constraint.Set, opts Options, res *Result) {
 			}
 		}
 	case root.verdict == ilp.Unsat:
-		res.conclude(Inconsistent, scopeRefutationCert(d, root.digest, opts))
+		res.conclude(Inconsistent, scopeRefutationCert(d, root.hierScope, opts))
 	default:
 		res.Verdict = Unknown
 		res.Diagnosis = "a scope sub-problem exhausted the solver budget"
@@ -117,9 +117,9 @@ type hierScope struct {
 	// scopes.
 	enc  *cardinality.AbsoluteEncoding
 	vals []int64
-	// digest fingerprints the scope's base system (before forced-zero
-	// constants and connectivity cuts), for refutation certificates.
-	digest string
+	// base marks the scope's system before forced-zero constants and
+	// connectivity cuts, for refutation certificates.
+	base ilp.Mark
 }
 
 // scopeNode is one (chain, τ) problem of the scope DAG and, once run
@@ -168,13 +168,10 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, i int, banned, u
 		probe.record(key, tau, ilp.Unknown, ilp.Stats{}, 0, local)
 		return hierScope{verdict: ilp.Unknown}
 	}
-	var digest string
-	if !opts.SkipCertificate {
-		// Fingerprint the base system before the forced-zero constants
-		// and connectivity cuts mutate it: the certificate verifier
-		// compares against a fresh compilation of exactly this system.
-		digest = enc.Flow.Sys.Digest()
-	}
+	// Mark the base system before the forced-zero constants and
+	// connectivity cuts are appended: the certificate verifier compares
+	// against a fresh compilation of exactly this system.
+	base := enc.Flow.Sys.Mark()
 	for _, t := range append(forceZero, banned...) {
 		if fn := enc.Flow.Lookup(t, 0); fn >= 0 {
 			enc.Flow.Sys.AddConst(enc.Flow.Vars[fn], 0)
@@ -188,7 +185,7 @@ func solveScopeProblem(h *hierChecker, opts Options, st *Stats, i int, banned, u
 		verdict: ilpRes.Verdict,
 		enc:     enc,
 		vals:    ilpRes.Values,
-		digest:  digest,
+		base:    base,
 	}
 	// Unsat is exact (only provably inconsistent exits were banned).
 	// A Sat that places an exit whose own problem is Unknown is
@@ -255,13 +252,14 @@ func (h *hierChecker) scopeCertificate() *certificate.Certificate {
 	return certificate.FromScopeVectors(scopes)
 }
 
-// scopeRefutationCert pins the infeasible root scope problem.
-func scopeRefutationCert(d *dtd.DTD, digest string, opts Options) *certificate.Certificate {
-	if opts.SkipCertificate || digest == "" {
+// scopeRefutationCert pins the infeasible root scope problem by the
+// digest of its base system.
+func scopeRefutationCert(d *dtd.DTD, root hierScope, opts Options) *certificate.Certificate {
+	if opts.SkipCertificate {
 		return nil
 	}
 	return certificate.FromScopeRefutation(
-		scope.ChainKey(map[string]bool{d.Root: true}, d.Root), digest)
+		scope.ChainKey(map[string]bool{d.Root: true}, d.Root), root.enc.Flow.Sys.DigestAt(root.base))
 }
 
 func chainNames(chain map[string]bool) []string {

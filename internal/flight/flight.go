@@ -1,12 +1,11 @@
-// Package flight is the daemon's anomaly flight recorder: an
-// always-on bounded ring of recent per-request event streams, plus a
+// Package flight is the daemon's anomaly flight recorder: a
 // trigger-driven dumper that writes a correlated bundle to disk when a
 // request goes wrong.
 //
-// Every finished request is Observed into the ring — trace ID, spec
-// digest, verdict, elapsed time, and a capped copy of its span stream
-// — so the last N requests are always reconstructible in memory even
-// when nothing was slow enough to persist. When a request trips a
+// Every finished request is Observed as its audit event (the one
+// per-check record; the audit log's ring is where recent requests stay
+// in memory) plus what only a bundle needs: the spec text, the
+// recorder and the progress publisher. When the request trips a
 // trigger (slow threshold, 5xx/panic, abort, or inconsistent-verdict
 // sampling), the recorder dumps a bundle pair into Options.Dir:
 //
@@ -39,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/introspect"
 	"repro/internal/obs"
 )
@@ -54,8 +54,8 @@ const (
 
 // Options parameterizes a Recorder.
 type Options struct {
-	// Dir is where bundles land. Empty keeps the in-memory ring but
-	// disables dumping.
+	// Dir is where bundles land. Empty disables dumping; triggers are
+	// still counted.
 	Dir string
 	// SlowThreshold trips the slow trigger (zero: never).
 	SlowThreshold time.Duration
@@ -67,11 +67,6 @@ type Options struct {
 	SampleInconsistent int
 	// MaxBundleBytes caps the .json bundle size (zero: 4 MiB).
 	MaxBundleBytes int64
-	// RingSize bounds the in-memory request ring (zero: 64).
-	RingSize int
-	// MaxSpans caps the span stream copied into each ring entry
-	// (zero: 64).
-	MaxSpans int
 	// Logger receives dump failures (nil: failures are dropped —
 	// capture must never fail the request it describes).
 	Logger *slog.Logger
@@ -82,9 +77,6 @@ type Recorder struct {
 	opts Options
 
 	mu               sync.Mutex
-	ring             []Entry
-	next             int
-	full             bool
 	lastDump         time.Time
 	inconsistentSeen int64
 	bundles          []Bundle
@@ -93,49 +85,19 @@ type Recorder struct {
 	suppressed       int64
 }
 
-// Request is one finished request as the serving layer hands it to
-// Observe.
-type Request struct {
-	TraceID    string
-	RequestID  string
-	SpecDigest string
-	// Op is the endpoint kind ("check", "explain", or a raw path for
-	// non-check requests such as a panicking debug handler).
-	Op string
-	// DTD and Constraints reproduce the spec dump; empty for requests
-	// that never parsed a spec.
+// Capture is what a bundle needs beyond the request's audit event.
+// Every field may be empty: a request that panicked parsed no spec and
+// ran no recorder.
+type Capture struct {
+	// DTD and Constraints reproduce the spec dump.
 	DTD         string
 	Constraints string
-	// Status is the HTTP status sent; Abort classifies an aborted
-	// check ("deadline", "canceled", "internal", "panic", or "").
-	Status int
-	Abort  string
-	// Verdict is the decided verdict ("" when none was reached).
-	Verdict string
-	Elapsed time.Duration
-	// Rec is the request's recorder; its event stream fills the ring
-	// entry and the bundle's Chrome trace. May be nil (panic paths).
+	// Rec is the request's recorder; its event stream becomes the
+	// bundle's Chrome trace.
 	Rec *obs.Recorder
 	// Progress is the request's live-introspection publisher; its
-	// final snapshot is embedded in the bundle. May be nil.
+	// final snapshot is embedded in the bundle.
 	Progress *introspect.Publisher
-}
-
-// Entry is one ring slot: the request's identity plus a capped copy
-// of its span stream.
-type Entry struct {
-	Time       time.Time      `json:"time"`
-	TraceID    string         `json:"trace_id"`
-	RequestID  string         `json:"request_id"`
-	SpecDigest string         `json:"spec_digest,omitempty"`
-	Op         string         `json:"op,omitempty"`
-	Status     int            `json:"status"`
-	Abort      string         `json:"abort,omitempty"`
-	Verdict    string         `json:"verdict,omitempty"`
-	ElapsedUS  int64          `json:"elapsed_us"`
-	Trigger    string         `json:"trigger,omitempty"`
-	Bundle     string         `json:"bundle,omitempty"`
-	Spans      []obs.SpanInfo `json:"spans,omitempty"`
 }
 
 // Bundle describes one dumped bundle, for the status page.
@@ -179,79 +141,56 @@ func New(opts Options) *Recorder {
 	if opts.MaxBundleBytes == 0 {
 		opts.MaxBundleBytes = 4 << 20
 	}
-	if opts.RingSize == 0 {
-		opts.RingSize = 64
-	}
-	if opts.MaxSpans == 0 {
-		opts.MaxSpans = 64
-	}
-	return &Recorder{opts: opts, ring: make([]Entry, opts.RingSize)}
+	return &Recorder{opts: opts}
 }
 
-// Observe records a finished request into the ring, evaluates the
-// triggers, and dumps a bundle when one fires and the rate limiter
-// admits it. It returns the bundle's .json filename (base name, not
-// path) when a dump happened, "" otherwise.
-func (f *Recorder) Observe(req Request) string {
+// Observe evaluates the triggers on a finished request's audit event
+// and dumps a bundle when one fires and the rate limiter admits it.
+// The event's Op names the endpoint (empty for a plain check, as in
+// the audit log; a raw path for other requests such as a panicking
+// debug handler) and its Abort additionally takes "panic". It returns
+// the bundle's .json filename (base name, not path) when a dump
+// happened, "" otherwise.
+func (f *Recorder) Observe(ev audit.Event, c Capture) string {
 	if f == nil {
 		return ""
 	}
-	entry := Entry{
-		Time:       time.Now(),
-		TraceID:    req.TraceID,
-		RequestID:  req.RequestID,
-		SpecDigest: req.SpecDigest,
-		Op:         req.Op,
-		Status:     req.Status,
-		Abort:      req.Abort,
-		Verdict:    req.Verdict,
-		ElapsedUS:  req.Elapsed.Microseconds(),
-		Spans:      cappedSpans(req.Rec, f.opts.MaxSpans),
-	}
-
 	f.mu.Lock()
-	entry.Trigger = f.classifyLocked(req)
-	admit := false
-	if entry.Trigger != "" {
+	trigger := f.classifyLocked(ev)
+	var admitted time.Time
+	if trigger != "" {
 		f.triggered++
 		if f.opts.Dir != "" {
 			if time.Since(f.lastDump) >= f.opts.Interval {
-				f.lastDump = time.Now()
-				admit = true
+				admitted = time.Now()
+				f.lastDump = admitted
 			} else {
 				f.suppressed++
 			}
 		}
 	}
-	slot := f.next
-	f.ring[slot] = entry
-	f.next = (f.next + 1) % len(f.ring)
-	if f.next == 0 {
-		f.full = true
-	}
 	f.mu.Unlock()
 
-	if !admit {
+	if admitted.IsZero() {
 		return ""
 	}
-	file, size, err := f.dump(entry.Trigger, req)
+	file, size, err := f.dump(trigger, ev, c)
 	if err != nil {
 		if f.opts.Logger != nil {
 			f.opts.Logger.Error("flight dump failed",
-				"trigger", entry.Trigger, "trace_id", req.TraceID, "err", err)
+				"trigger", trigger, "trace_id", ev.TraceID, "err", err)
 		}
 		return ""
 	}
 	f.mu.Lock()
 	f.dumped++
-	f.ring[slot].Bundle = file
 	f.bundles = append(f.bundles, Bundle{
-		Time:       entry.Time,
+		Time:       admitted,
 		File:       file,
-		Trigger:    entry.Trigger,
-		TraceID:    req.TraceID,
-		RequestID:  req.RequestID,
-		SpecDigest: req.SpecDigest,
+		Trigger:    trigger,
+		TraceID:    ev.TraceID,
+		RequestID:  ev.RequestID,
+		SpecDigest: ev.SpecDigest,
 		Bytes:      size,
 	})
 	const maxBundles = 128
@@ -264,20 +203,20 @@ func (f *Recorder) Observe(req Request) string {
 
 // classifyLocked picks the most severe applicable trigger (caller
 // holds mu; the inconsistent-verdict sample counter mutates).
-func (f *Recorder) classifyLocked(req Request) string {
+func (f *Recorder) classifyLocked(ev audit.Event) string {
 	switch {
-	case req.Status >= 500 || req.Abort == "panic" || req.Abort == "internal":
+	case ev.Status >= 500 || ev.Abort == "panic" || ev.Abort == "internal":
 		// A deadline abort answers 504; classify it as an abort, not an
 		// error — the check was healthy, the budget was not.
-		if req.Abort == "deadline" {
+		if ev.Abort == "deadline" {
 			return TriggerAbort
 		}
 		return TriggerError
-	case req.Abort != "":
+	case ev.Abort != "":
 		return TriggerAbort
-	case f.opts.SlowThreshold > 0 && req.Elapsed >= f.opts.SlowThreshold:
+	case f.opts.SlowThreshold > 0 && ev.ElapsedUS >= f.opts.SlowThreshold.Microseconds():
 		return TriggerSlow
-	case req.Verdict == "inconsistent" && f.opts.SampleInconsistent > 0:
+	case ev.Verdict == "inconsistent" && f.opts.SampleInconsistent > 0:
 		f.inconsistentSeen++
 		if f.inconsistentSeen%int64(f.opts.SampleInconsistent) == 0 {
 			return TriggerVerdict
@@ -288,28 +227,32 @@ func (f *Recorder) classifyLocked(req Request) string {
 
 // dump writes the bundle pair and returns the .json base filename and
 // its size.
-func (f *Recorder) dump(trigger string, req Request) (string, int64, error) {
-	name := trigger + "-" + req.TraceID
+func (f *Recorder) dump(trigger string, ev audit.Event, c Capture) (string, int64, error) {
+	name := trigger + "-" + ev.TraceID
+	op := ev.Op
+	if op == "" {
+		op = "check"
+	}
 	bf := bundleFile{
 		Schema:     "flight/v1",
 		Trigger:    trigger,
 		Time:       time.Now().UTC().Format(time.RFC3339Nano),
-		TraceID:    req.TraceID,
-		RequestID:  req.RequestID,
-		SpecDigest: req.SpecDigest,
-		Op:         req.Op,
-		Status:     req.Status,
-		Abort:      req.Abort,
-		Verdict:    req.Verdict,
-		ElapsedUS:  req.Elapsed.Microseconds(),
+		TraceID:    ev.TraceID,
+		RequestID:  ev.RequestID,
+		SpecDigest: ev.SpecDigest,
+		Op:         op,
+		Status:     ev.Status,
+		Abort:      ev.Abort,
+		Verdict:    ev.Verdict,
+		ElapsedUS:  ev.ElapsedUS,
 		Goroutines: goroutineProfile(),
 	}
-	if snap, ok := req.Progress.Snapshot(); ok {
+	if snap, ok := c.Progress.Snapshot(); ok {
 		bf.Progress = &snap
 	}
-	if req.Rec != nil {
+	if c.Rec != nil {
 		var tb strings.Builder
-		if err := req.Rec.WriteChromeTrace(&tb); err == nil {
+		if err := c.Rec.WriteChromeTrace(&tb); err == nil {
 			bf.Trace = json.RawMessage(tb.String())
 		}
 	}
@@ -346,8 +289,9 @@ func (f *Recorder) dump(trigger string, req Request) (string, int64, error) {
 	if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
 		return "", 0, err
 	}
+	elapsed := time.Duration(ev.ElapsedUS) * time.Microsecond
 	spec := fmt.Sprintf("# spec_digest: %s\n# trace_id: %s\n# request_id: %s\n# trigger: %s\n# elapsed: %s\n\n%s\n%%%%\n%s",
-		req.SpecDigest, req.TraceID, req.RequestID, trigger, req.Elapsed, req.DTD, req.Constraints)
+		ev.SpecDigest, ev.TraceID, ev.RequestID, trigger, elapsed, c.DTD, c.Constraints)
 	if err := os.WriteFile(filepath.Join(f.opts.Dir, name+".spec"), []byte(spec), 0o644); err != nil {
 		return "", 0, err
 	}
@@ -365,38 +309,6 @@ func goroutineProfile() string {
 		return ""
 	}
 	return b.String()
-}
-
-// cappedSpans copies at most max spans from the recorder.
-func cappedSpans(rec *obs.Recorder, max int) []obs.SpanInfo {
-	spans := rec.Spans()
-	if len(spans) > max {
-		spans = spans[:max:max]
-	}
-	return spans
-}
-
-// Recent returns up to n ring entries, newest first. n <= 0 returns
-// them all.
-func (f *Recorder) Recent(n int) []Entry {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	size := f.next
-	if f.full {
-		size = len(f.ring)
-	}
-	if n <= 0 || n > size {
-		n = size
-	}
-	out := make([]Entry, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (f.next - 1 - i + len(f.ring)) % len(f.ring)
-		out = append(out, f.ring[idx])
-	}
-	return out
 }
 
 // Bundles returns up to n dumped-bundle records, newest first. n <= 0

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/introspect"
 	"repro/internal/obs"
 )
@@ -16,23 +17,24 @@ func slowOpts(dir string) Options {
 	return Options{Dir: dir, SlowThreshold: time.Millisecond, Interval: time.Hour}
 }
 
-func slowReq(trace string) Request {
+func slowReq(trace string) (audit.Event, Capture) {
 	rec := obs.New()
 	rec.SetTraceID(trace)
 	sp := rec.Start("server.check")
 	sp.End()
 	pub := introspect.NewPublisher()
 	pub.SetPhase("relative")
-	return Request{
-		TraceID:     trace,
-		RequestID:   "00000001",
-		SpecDigest:  "sha256:abc",
-		Op:          "check",
+	ev := audit.Event{
+		TraceID:    trace,
+		RequestID:  "00000001",
+		SpecDigest: "sha256:abc",
+		Status:     200,
+		Verdict:    "consistent",
+		ElapsedUS:  5000,
+	}
+	return ev, Capture{
 		DTD:         "<!ELEMENT r (a)>",
 		Constraints: "key(r.a)",
-		Status:      200,
-		Verdict:     "consistent",
-		Elapsed:     5 * time.Millisecond,
 		Rec:         rec,
 		Progress:    pub,
 	}
@@ -44,7 +46,7 @@ func TestNilRecorder(t *testing.T) {
 	if got := f.Observe(slowReq("t")); got != "" {
 		t.Fatalf("nil Observe = %q", got)
 	}
-	if f.Recent(5) != nil || f.Bundles(5) != nil {
+	if f.Bundles(5) != nil {
 		t.Fatal("nil reads must return nil")
 	}
 	a, b, c := f.Stats()
@@ -107,10 +109,10 @@ func TestSlowTriggerDumpsBundle(t *testing.T) {
 func TestTriggerPrecedence(t *testing.T) {
 	dir := t.TempDir()
 	f := New(slowOpts(dir))
-	req := slowReq("aaaabbbbccccddddaaaabbbbccccdddd")
+	req, c := slowReq("aaaabbbbccccddddaaaabbbbccccdddd")
 	req.Status = 500
 	req.Abort = "internal"
-	file := f.Observe(req)
+	file := f.Observe(req, c)
 	if !strings.HasPrefix(file, "error-") {
 		t.Fatalf("bundle file = %q, want error-*", file)
 	}
@@ -122,11 +124,11 @@ func TestTriggerPrecedence(t *testing.T) {
 		t.Fatalf("got %d files, want exactly one .json+.spec pair", len(ents))
 	}
 	// A deadline abort answers 504 but is an abort, not an error.
-	req2 := slowReq("bbbbccccddddeeeebbbbccccddddeeee")
+	req2, c2 := slowReq("bbbbccccddddeeeebbbbccccddddeeee")
 	req2.Status = 504
 	req2.Abort = "deadline"
 	f2 := New(slowOpts(t.TempDir()))
-	if file := f2.Observe(req2); !strings.HasPrefix(file, "abort-") {
+	if file := f2.Observe(req2, c2); !strings.HasPrefix(file, "abort-") {
 		t.Fatalf("deadline bundle = %q, want abort-*", file)
 	}
 }
@@ -139,9 +141,9 @@ func TestRateLimiterShared(t *testing.T) {
 	if f.Observe(slowReq("11110000111100001111000011110000")) == "" {
 		t.Fatal("first trigger must dump")
 	}
-	errReq := slowReq("22220000222200002222000022220000")
+	errReq, c := slowReq("22220000222200002222000022220000")
 	errReq.Status = 500
-	if file := f.Observe(errReq); file != "" {
+	if file := f.Observe(errReq, c); file != "" {
 		t.Fatalf("second dump inside interval = %q, want suppressed", file)
 	}
 	trig, dumped, supp := f.Stats()
@@ -156,10 +158,10 @@ func TestVerdictSampling(t *testing.T) {
 	f := New(Options{Dir: dir, SampleInconsistent: 3, Interval: time.Nanosecond})
 	dumps := 0
 	for i := 0; i < 9; i++ {
-		req := slowReq(strings.Repeat("0", 31) + string(rune('1'+i)))
+		req, c := slowReq(strings.Repeat("0", 31) + string(rune('1'+i)))
 		req.Verdict = "inconsistent"
 		time.Sleep(time.Microsecond)
-		if f.Observe(req) != "" {
+		if f.Observe(req, c) != "" {
 			dumps++
 		}
 	}
@@ -169,26 +171,6 @@ func TestVerdictSampling(t *testing.T) {
 	// Consistent verdicts never trip the sampler.
 	if f.Observe(slowReq("ffff0000ffff0000ffff0000ffff0000")) != "" {
 		t.Fatal("consistent verdict dumped")
-	}
-}
-
-// TestRingBounded: the ring keeps the newest RingSize entries, newest
-// first, and always records, trigger or not.
-func TestRingBounded(t *testing.T) {
-	f := New(Options{RingSize: 4})
-	for i := 0; i < 10; i++ {
-		req := Request{TraceID: strings.Repeat("0", 31) + string(rune('a'+i)), Status: 200}
-		f.Observe(req)
-	}
-	got := f.Recent(0)
-	if len(got) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(got))
-	}
-	if got[0].TraceID[31] != 'j' || got[3].TraceID[31] != 'g' {
-		t.Fatalf("ring order wrong: %v", got)
-	}
-	if got2 := f.Recent(2); len(got2) != 2 || got2[0].TraceID != got[0].TraceID {
-		t.Fatalf("Recent(2) = %v", got2)
 	}
 }
 
@@ -202,9 +184,9 @@ func TestSizeCap(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		rec.Start("consistency.check").End()
 	}
-	req := slowReq("cccc0000cccc0000cccc0000cccc0000")
-	req.Rec = rec
-	file := f.Observe(req)
+	req, c := slowReq("cccc0000cccc0000cccc0000cccc0000")
+	c.Rec = rec
+	file := f.Observe(req, c)
 	if file == "" {
 		t.Fatal("oversized bundle not dumped at all")
 	}

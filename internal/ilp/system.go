@@ -214,16 +214,33 @@ func normalizeTerms(terms []Term) []Term {
 	return out
 }
 
+// Mark is a system's size at one point of its construction: the
+// number of variables and of rows of each constraint form. Variables
+// and rows are only ever appended (forced zeros, connectivity cuts and
+// minimization bounds included), so a mark pins the system as it stood
+// when the mark was taken.
+type Mark struct {
+	vars, lins, conds, quads int
+}
+
+// Mark returns the system's current size.
+func (s *System) Mark() Mark {
+	return Mark{vars: len(s.names), lins: len(s.Lins), conds: len(s.Conds), quads: len(s.Quads)}
+}
+
 // String renders the system for debugging.
-func (s *System) String() string {
+func (s *System) String() string { return s.render(s.Mark()) }
+
+// render renders the rows the system had at mark m.
+func (s *System) render(m Mark) string {
 	var b strings.Builder
-	for _, l := range s.Lins {
+	for _, l := range s.Lins[:m.lins] {
 		fmt.Fprintf(&b, "%s %s %d\n", s.formatTerms(l.Terms), l.Rel, l.K)
 	}
-	for _, c := range s.Conds {
+	for _, c := range s.Conds[:m.conds] {
 		fmt.Fprintf(&b, "(%s > 0) -> (%s > 0)\n", s.formatTerms(c.If), s.formatTerms(c.Then))
 	}
-	for _, q := range s.Quads {
+	for _, q := range s.Quads[:m.quads] {
 		fmt.Fprintf(&b, "%s <= %s * %s\n", s.names[q.X], s.names[q.Y], s.names[q.Z])
 	}
 	return b.String()
@@ -296,15 +313,20 @@ func (s *System) EvalNamed(vec map[string]int64) error {
 // Refutation certificates carry the digest of the system the solver
 // found infeasible; the verifier recompiles the encoding and checks
 // the fingerprints match.
-func (s *System) Digest() string {
-	lines := strings.Split(strings.TrimRight(s.String(), "\n"), "\n")
+func (s *System) Digest() string { return s.DigestAt(s.Mark()) }
+
+// DigestAt is the Digest of the system as it stood at mark m, so a
+// refutation can fingerprint the base system the verifier recompiles
+// after the solver has appended forced zeros and cuts to it.
+func (s *System) DigestAt(m Mark) string {
+	lines := strings.Split(strings.TrimRight(s.render(m), "\n"), "\n")
 	sort.Strings(lines)
 	h := fnv.New64a()
 	for _, l := range lines {
 		io.WriteString(h, l)
 		io.WriteString(h, "\n")
 	}
-	return fmt.Sprintf("v%d-%016x", len(s.names), h.Sum64())
+	return fmt.Sprintf("v%d-%016x", m.vars, h.Sum64())
 }
 
 // Eval checks a full assignment against every constraint and returns

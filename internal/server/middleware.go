@@ -7,6 +7,7 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/audit"
 	"repro/internal/flight"
 	"repro/internal/obs"
 )
@@ -87,14 +88,14 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 				fmt.Fprintf(sr, `{"request_id":%q,"trace_id":%q,"error":"internal server error","kind":"internal"}`+"\n", id, tid)
 				// The handler never reached its own flight observation;
 				// capture the panic with at least a goroutine profile.
-				s.flight.Observe(flight.Request{
-					TraceID:   tid,
+				s.flight.Observe(audit.Event{
 					RequestID: id,
+					TraceID:   tid,
 					Op:        r.URL.Path,
 					Status:    http.StatusInternalServerError,
 					Abort:     "panic",
-					Elapsed:   time.Since(start),
-				})
+					ElapsedUS: time.Since(start).Microseconds(),
+				}, flight.Capture{})
 			}
 			elapsed := time.Since(start)
 			s.reg.Add("server.requests", 1)

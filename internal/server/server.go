@@ -25,11 +25,14 @@
 // response bodies, so one identifier joins every artifact a request
 // leaves behind.
 //
-// Beyond counters, every completed check leaves three observability
-// trails: an audit event (request ID, trace ID, spec digest, verdict,
-// phases) in the configured audit log, an observation in the rolling
-// 1m/5m/1h windows that drive the rate/latency/burn-rate gauges, and
-// an entry in the flight recorder's bounded ring — which, on a
+// /check and /explain run through one request pipeline (serveSpec);
+// each op adds only a small core that runs its decision procedure and
+// builds its response body. Beyond counters, every completed check
+// leaves its audit event — the one per-check record (request ID, trace
+// ID, spec digest, verdict, phases) — in the audit log, whose ring
+// backs the status page's recent checks; an observation in the
+// rolling 1m/5m/1h windows that drive the rate/latency/burn-rate
+// gauges; and the same event in the flight recorder, which, on a
 // trigger (slow threshold, 5xx/panic, abort, sampled inconsistent
 // verdict), dumps a rate-limited correlated bundle into
 // Config.QuarantineDir so anomalous checks can be replayed offline.
@@ -99,8 +102,7 @@ type Config struct {
 	SlowThreshold time.Duration
 	// QuarantineDir is where flight bundles land, as a
 	// <trigger>-<trace-id>.json correlated bundle plus a matching
-	// .spec dump. Empty disables dumping (the in-memory flight ring
-	// still records).
+	// .spec dump. Empty disables dumping (triggers are still counted).
 	QuarantineDir string
 	// SlowCaptureInterval rate-limits flight dumps across all
 	// triggers: at most one bundle per interval (zero: one per
@@ -131,26 +133,14 @@ type Server struct {
 	inflight atomic.Int64
 	reqSeq   atomic.Uint64
 
-	// running tracks the checks currently executing, for the status
-	// page's in-flight table.
+	// running holds the calls in flight, for the status page's
+	// in-flight table.
 	runningMu sync.Mutex
-	running   map[string]*runningCheck
+	running   map[string]*specCall
 
-	// flight is the anomaly flight recorder: ring of recent requests
-	// plus the trigger-driven quarantine dumper.
+	// flight is the anomaly flight recorder: the trigger-driven
+	// quarantine dumper.
 	flight *flight.Recorder
-}
-
-// runningCheck is one in-flight check as the status page shows it.
-// Its publisher receives the solver's sampled progress snapshots, so
-// the /debug/inflight handler can show where a long check is without
-// ever blocking the search.
-type runningCheck struct {
-	ID         string `json:"request_id"`
-	TraceID    string `json:"trace_id,omitempty"`
-	SpecDigest string `json:"spec_digest,omitempty"`
-	StartedAt  time.Time
-	pub        *introspect.Publisher
 }
 
 // NewServer validates the config and builds a server.
@@ -181,7 +171,7 @@ func NewServer(cfg Config) *Server {
 		audit:   cfg.Audit,
 		rolling: telemetry.NewRolling(cfg.SLOTarget.Microseconds()),
 		start:   time.Now(),
-		running: map[string]*runningCheck{},
+		running: map[string]*specCall{},
 		flight: flight.New(flight.Options{
 			Dir:                cfg.QuarantineDir,
 			SlowThreshold:      cfg.SlowThreshold,
@@ -226,8 +216,12 @@ func NewServer(cfg Config) *Server {
 // middleware.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /check", s.handleCheck)
-	mux.HandleFunc("POST /explain", s.handleExplain)
+	mux.HandleFunc("POST /check", func(w http.ResponseWriter, r *http.Request) {
+		s.serveSpec(w, r, "check", s.check)
+	})
+	mux.HandleFunc("POST /explain", func(w http.ResponseWriter, r *http.Request) {
+		s.serveSpec(w, r, "explain", s.explain)
+	})
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/status", s.handleStatus)
@@ -375,35 +369,77 @@ func (s *Server) admit(w http.ResponseWriter, id, tid string) bool {
 
 // readSpecRequest reads and decodes the request shape /check and
 // /explain share, and parses the specification. On failure it answers
-// the request itself and reports ok=false.
-func (s *Server) readSpecRequest(w http.ResponseWriter, r *http.Request, id string) (CheckRequest, *xmlspec.Spec, bool) {
-	var req CheckRequest
-	tid := traceID(r.Context())
+// the request itself with kind "parse", counts it, and reports
+// ok=false.
+func (s *Server) readSpecRequest(w http.ResponseWriter, r *http.Request, id, tid string) (CheckRequest, *xmlspec.Spec, bool) {
+	fail := func(status int, msg string) (CheckRequest, *xmlspec.Spec, bool) {
+		s.reg.Add("server.errors.parse", 1)
+		s.writeError(w, id, tid, status, "parse", msg)
+		return CheckRequest{}, nil, false
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, s.cfg.MaxRequestBytes+1))
 	if err != nil {
-		s.writeError(w, id, tid, http.StatusBadRequest, "parse", "reading body: "+err.Error())
-		return req, nil, false
+		return fail(http.StatusBadRequest, "reading body: "+err.Error())
 	}
 	if int64(len(body)) > s.cfg.MaxRequestBytes {
-		s.writeError(w, id, tid, http.StatusRequestEntityTooLarge, "parse",
+		return fail(http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxRequestBytes))
-		return req, nil, false
 	}
+	var req CheckRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.reg.Add("server.errors.parse", 1)
-		s.writeError(w, id, tid, http.StatusBadRequest, "parse", "decoding request: "+err.Error())
-		return req, nil, false
+		return fail(http.StatusBadRequest, "decoding request: "+err.Error())
 	}
 	spec, err := xmlspec.Parse(req.DTD, req.Constraints)
 	if err != nil {
-		s.reg.Add("server.errors.parse", 1)
-		s.writeError(w, id, tid, http.StatusBadRequest, "parse", err.Error())
-		return req, nil, false
+		return fail(http.StatusBadRequest, err.Error())
 	}
 	return req, spec, true
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+// specCall is one /check or /explain request in the pipeline. Its
+// audit event is the single per-check record: the running table shows
+// its identity, the op core fills in the outcome, and the audit log
+// and the flight recorder receive it when the request ends.
+type specCall struct {
+	ev audit.Event
+	// start is when the decision procedure began; elapsed is its wall
+	// time, stamped by decided. The pipeline copies it into
+	// ev.ElapsedUS and the root span.
+	start   time.Time
+	elapsed time.Duration
+	// pub receives the solver's sampled progress snapshots, so
+	// /debug/inflight can show where a long check is without ever
+	// blocking the search.
+	pub *introspect.Publisher
+
+	req  CheckRequest
+	spec *xmlspec.Spec
+	opts *xmlspec.Options
+	rec  *obs.Recorder
+	root *obs.Span
+}
+
+// decided stamps the decision procedure's wall time on the call and
+// returns it in microseconds for the op's latency histogram.
+func (c *specCall) decided() int64 {
+	c.elapsed = time.Since(c.start)
+	return c.elapsed.Microseconds()
+}
+
+// opCore is what one endpoint adds to the pipeline: it runs the
+// decision procedure on c under ctx, calls c.decided as soon as that
+// returns (before recording the op's own counter and latency
+// histogram), fills the verdict fields of c.ev, and returns the
+// response body. A core that never calls decided is timed by the
+// pipeline when it returns.
+type opCore func(ctx context.Context, c *specCall) (any, error)
+
+// serveSpec is the one request pipeline behind /check and /explain:
+// admission, decode and parse, spec digest, the running-table entry,
+// the deadline context, the recorder and root span (server.<op>), the
+// server-default options, then the op core, abort classification, the
+// audit event, the flight observation and the response.
+func (s *Server) serveSpec(w http.ResponseWriter, r *http.Request, op string, core opCore) {
 	id := requestID(r.Context())
 	tid := traceID(r.Context())
 
@@ -412,229 +448,136 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Add(-1)
 
-	req, spec, ok := s.readSpecRequest(w, r, id)
+	req, spec, ok := s.readSpecRequest(w, r, id, tid)
 	if !ok {
 		return
 	}
 	dig := spec.Digest()
+	ctx, cancel := s.checkContext(r.Context(), req.DeadlineMS)
+	defer cancel()
+	c := &specCall{
+		ev:   audit.Event{RequestID: id, TraceID: tid, SpecDigest: dig},
+		pub:  introspect.NewPublisher(),
+		req:  req,
+		spec: spec,
+		opts: req.Options.internal(),
+		// Per-request recorder: the span tree becomes this request's
+		// trace file, the counters and histograms aggregate into the
+		// registry.
+		rec: obs.New(),
+	}
+	if op != "check" {
+		c.ev.Op = op
+	}
+	c.rec.SetTraceID(tid)
+	c.root = c.rec.Start("server." + op)
+	c.root.SetString("request_id", id)
+	c.root.SetString("trace_id", tid)
+	c.root.SetString("spec_digest", dig)
+	spec.SetObserver(c.rec)
+	if c.opts.Parallelism == 0 {
+		c.opts.Parallelism = s.cfg.Parallelism
+	}
+	c.opts.Progress = c.pub
+	c.opts.ProfileLabel = dig
 
-	// Per-request progress publisher: the solver samples live search
-	// snapshots into it, /debug/inflight reads them lock-free.
-	pub := introspect.NewPublisher()
+	c.start = time.Now()
 	s.runningMu.Lock()
-	s.running[id] = &runningCheck{ID: id, TraceID: tid, SpecDigest: dig, StartedAt: time.Now(), pub: pub}
+	s.running[id] = c
 	s.runningMu.Unlock()
 	defer func() {
 		s.runningMu.Lock()
 		delete(s.running, id)
 		s.runningMu.Unlock()
 	}()
-
-	ctx, cancel := s.checkContext(r.Context(), req.DeadlineMS)
-	defer cancel()
-
-	// Per-request recorder: the span tree becomes this request's trace
-	// file, the counters and histograms aggregate into the registry.
-	rec := obs.New()
-	rec.SetTraceID(tid)
-	root := rec.Start("server.check")
-	root.SetString("request_id", id)
-	root.SetString("trace_id", tid)
-	root.SetString("spec_digest", dig)
-	spec.SetObserver(rec)
-
-	opts := req.Options.internal()
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
+	body, err := core(ctx, c)
+	if c.elapsed == 0 {
+		c.decided()
 	}
-	opts.Progress = pub
-	opts.ProfileLabel = dig
+	c.ev.ElapsedUS = c.elapsed.Microseconds()
+	c.root.SetInt("elapsed_us", c.ev.ElapsedUS)
+
+	if err == nil {
+		c.rec.Add("server.verdict."+c.ev.Verdict, 1)
+	}
+	c.root.End()
+	s.reg.Absorb(c.rec)
+	s.writeTraceFile(id, c.rec)
+	s.rolling.Observe(c.ev.ElapsedUS, err != nil)
+	c.ev.Phases = auditPhases(c.rec)
+
+	var msg string
+	if err != nil {
+		msg = s.classifyAbort(&c.ev, op, err, c.elapsed)
+	} else {
+		c.ev.Status = http.StatusOK
+	}
+	s.audit.Record(c.ev)
+	s.observeFlight(c)
+	if err != nil {
+		s.writeError(w, id, tid, c.ev.Status, c.ev.Abort, msg)
+		return
+	}
+	s.writeJSON(w, http.StatusOK, body)
+}
+
+// check is the /check core.
+func (s *Server) check(ctx context.Context, c *specCall) (any, error) {
 	// The time-only ledger always runs: its rows feed the audit trail
 	// even when the client did not ask for them in the response.
 	// Allocation tracking stays off — ReadMemStats is too heavy for a
 	// serving hot path.
-	opts.Attribution = true
-
-	start := time.Now()
-	res, err := spec.CheckContext(ctx, opts)
-	elapsed := time.Since(start)
-	root.SetInt("elapsed_us", elapsed.Microseconds())
-
-	rec.Observe("server.check_us", elapsed.Microseconds())
-	rec.Add("server.checks", 1)
-	if err == nil {
-		rec.Add("server.verdict."+res.Verdict.String(), 1)
-	}
-	root.End()
-	s.reg.Absorb(rec)
-	s.reg.Exemplar("server.check_us", elapsed.Microseconds(), tid)
-	s.writeTraceFile(id, rec)
-	s.rolling.Observe(elapsed.Microseconds(), err != nil)
-
-	ev := audit.Event{
-		RequestID:  id,
-		TraceID:    tid,
-		SpecDigest: dig,
-		ElapsedUS:  elapsed.Microseconds(),
-		Phases:     auditPhases(rec),
-	}
-
+	c.opts.Attribution = true
+	res, err := c.spec.CheckContext(ctx, c.opts)
+	us := c.decided()
+	c.rec.Observe("server.check_us", us)
+	c.rec.Add("server.checks", 1)
+	s.reg.Exemplar("server.check_us", us, c.ev.TraceID)
 	if err != nil {
-		var msg string
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reg.Add("server.aborts.deadline", 1)
-			ev.Abort, ev.Status = "deadline", http.StatusGatewayTimeout
-			msg = "check aborted: deadline exceeded after " + elapsed.String()
-		case errors.Is(err, context.Canceled):
-			s.reg.Add("server.aborts.canceled", 1)
-			// The client is usually gone; the status code is best-effort.
-			ev.Abort, ev.Status = "canceled", 499
-			msg = "check aborted: request canceled"
-		default:
-			s.reg.Add("server.errors.internal", 1)
-			ev.Abort, ev.Status = "internal", http.StatusInternalServerError
-			msg = err.Error()
-		}
-		s.audit.Record(ev)
-		s.observeFlight("check", req, ev, rec, pub, elapsed)
-		s.writeError(w, id, tid, ev.Status, ev.Abort, msg)
-		return
+		return nil, err
 	}
-
-	ev.Verdict = res.Verdict.String()
-	ev.CertificateKind = res.Certificate.Kind()
-	ev.Status = http.StatusOK
-	ev.ScopeCosts = auditScopeCosts(res.Attribution)
-	s.audit.Record(ev)
-	s.observeFlight("check", req, ev, rec, pub, elapsed)
-
-	cresp := CheckResponse{
-		RequestID:   id,
-		TraceID:     tid,
-		SpecDigest:  dig,
-		Verdict:     res.Verdict.String(),
+	c.ev.Verdict = res.Verdict.String()
+	c.ev.CertificateKind = res.Certificate.Kind()
+	c.ev.ScopeCosts = auditScopeCosts(res.Attribution)
+	resp := CheckResponse{
+		RequestID:   c.ev.RequestID,
+		TraceID:     c.ev.TraceID,
+		SpecDigest:  c.ev.SpecDigest,
+		Verdict:     c.ev.Verdict,
 		Class:       res.Class,
 		Method:      res.Method,
 		Witness:     res.Witness,
 		Diagnosis:   res.Diagnosis,
 		Certificate: res.Certificate,
 		Stats:       res.Stats,
-		ElapsedUS:   elapsed.Microseconds(),
+		ElapsedUS:   us,
 	}
-	if req.Options.Attribution {
-		cresp.Attribution = res.Attribution
+	if c.req.Options.Attribution {
+		resp.Attribution = res.Attribution
 	}
-	s.writeJSON(w, http.StatusOK, cresp)
+	return resp, nil
 }
 
-// handleExplain runs the full explanation pipeline — check, then
-// deletion-based core minimization with derivation extraction and
-// repair-hint ranking — on the same request shape as /check. It is
-// deliberately a sibling of handleCheck rather than an option on it:
-// explanation re-decides many constraint subsets, so it gets its own
+// explain is the /explain core: check, then deletion-based core
+// minimization with derivation extraction and repair-hint ranking.
+// Explanation re-decides many constraint subsets, so it keeps its own
 // latency histogram, counters, and audit op.
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r.Context())
-	tid := traceID(r.Context())
-
-	if !s.admit(w, id, tid) {
-		return
-	}
-	defer s.inflight.Add(-1)
-
-	req, spec, ok := s.readSpecRequest(w, r, id)
-	if !ok {
-		return
-	}
-	dig := spec.Digest()
-
-	pub := introspect.NewPublisher()
-	s.runningMu.Lock()
-	s.running[id] = &runningCheck{ID: id, TraceID: tid, SpecDigest: dig, StartedAt: time.Now(), pub: pub}
-	s.runningMu.Unlock()
-	defer func() {
-		s.runningMu.Lock()
-		delete(s.running, id)
-		s.runningMu.Unlock()
-	}()
-
-	ctx, cancel := s.checkContext(r.Context(), req.DeadlineMS)
-	defer cancel()
-
-	rec := obs.New()
-	rec.SetTraceID(tid)
-	root := rec.Start("server.explain")
-	root.SetString("request_id", id)
-	root.SetString("trace_id", tid)
-	root.SetString("spec_digest", dig)
-	spec.SetObserver(rec)
-
-	opts := req.Options.internal()
-	if opts.Parallelism == 0 {
-		opts.Parallelism = s.cfg.Parallelism
-	}
-	opts.Progress = pub
-	opts.ProfileLabel = dig
-
-	start := time.Now()
-	ex, err := spec.ExplainContext(ctx, opts)
-	elapsed := time.Since(start)
-	root.SetInt("elapsed_us", elapsed.Microseconds())
-
-	rec.Observe("server.explain_us", elapsed.Microseconds())
-	rec.Add("server.explains", 1)
-	if err == nil {
-		rec.Add("server.verdict."+ex.Verdict.String(), 1)
-	}
-	root.End()
-	s.reg.Absorb(rec)
-	s.reg.Exemplar("server.explain_us", elapsed.Microseconds(), tid)
-	s.writeTraceFile(id, rec)
-	s.rolling.Observe(elapsed.Microseconds(), err != nil)
-
-	ev := audit.Event{
-		RequestID:  id,
-		TraceID:    tid,
-		Op:         "explain",
-		SpecDigest: dig,
-		ElapsedUS:  elapsed.Microseconds(),
-		Phases:     auditPhases(rec),
-	}
-
+func (s *Server) explain(ctx context.Context, c *specCall) (any, error) {
+	ex, err := c.spec.ExplainContext(ctx, c.opts)
+	us := c.decided()
+	c.rec.Observe("server.explain_us", us)
+	c.rec.Add("server.explains", 1)
+	s.reg.Exemplar("server.explain_us", us, c.ev.TraceID)
 	if err != nil {
-		var msg string
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.reg.Add("server.aborts.deadline", 1)
-			ev.Abort, ev.Status = "deadline", http.StatusGatewayTimeout
-			msg = "explain aborted: deadline exceeded after " + elapsed.String()
-		case errors.Is(err, context.Canceled):
-			s.reg.Add("server.aborts.canceled", 1)
-			ev.Abort, ev.Status = "canceled", 499
-			msg = "explain aborted: request canceled"
-		default:
-			s.reg.Add("server.errors.internal", 1)
-			ev.Abort, ev.Status = "internal", http.StatusInternalServerError
-			msg = err.Error()
-		}
-		s.audit.Record(ev)
-		s.observeFlight("explain", req, ev, rec, pub, elapsed)
-		s.writeError(w, id, tid, ev.Status, ev.Abort, msg)
-		return
+		return nil, err
 	}
-
-	ev.Verdict = ex.Verdict.String()
-	ev.CertificateKind = ex.Certificate.Kind()
-	ev.Status = http.StatusOK
-	s.audit.Record(ev)
-	s.observeFlight("explain", req, ev, rec, pub, elapsed)
-
-	s.writeJSON(w, http.StatusOK, ExplainResponse{
-		RequestID:       id,
-		TraceID:         tid,
-		SpecDigest:      dig,
-		Verdict:         ex.Verdict.String(),
+	c.ev.Verdict = ex.Verdict.String()
+	c.ev.CertificateKind = ex.Certificate.Kind()
+	return ExplainResponse{
+		RequestID:       c.ev.RequestID,
+		TraceID:         c.ev.TraceID,
+		SpecDigest:      c.ev.SpecDigest,
+		Verdict:         c.ev.Verdict,
 		Method:          ex.Method,
 		Core:            ex.Core,
 		CoreConstraints: ex.CoreConstraints,
@@ -643,8 +586,29 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Cores:           ex.Cores,
 		Checks:          ex.Checks,
 		Certificate:     ex.Certificate,
-		ElapsedUS:       elapsed.Microseconds(),
-	})
+		ElapsedUS:       us,
+	}, nil
+}
+
+// classifyAbort records why an op's decision procedure failed: it
+// counts the cause, stamps the abort cause and HTTP status on the
+// event, and returns the error message for the response.
+func (s *Server) classifyAbort(ev *audit.Event, op string, err error, elapsed time.Duration) string {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.reg.Add("server.aborts.deadline", 1)
+		ev.Abort, ev.Status = "deadline", http.StatusGatewayTimeout
+		return op + " aborted: deadline exceeded after " + elapsed.String()
+	case errors.Is(err, context.Canceled):
+		s.reg.Add("server.aborts.canceled", 1)
+		// The client is usually gone; the status code is best-effort.
+		ev.Abort, ev.Status = "canceled", 499
+		return op + " aborted: request canceled"
+	default:
+		s.reg.Add("server.errors.internal", 1)
+		ev.Abort, ev.Status = "internal", http.StatusInternalServerError
+		return err.Error()
+	}
 }
 
 // auditScopeCosts caps the attribution rows stamped into an audit
@@ -681,26 +645,19 @@ func auditPhases(rec *obs.Recorder) []audit.Phase {
 // guarantee a request is captured at most once, whatever combination
 // of triggers it trips. Capture failures are logged by the recorder,
 // never surfaced: capture must not fail a check that finished.
-func (s *Server) observeFlight(op string, req CheckRequest, ev audit.Event, rec *obs.Recorder, pub *introspect.Publisher, elapsed time.Duration) {
-	if s.cfg.SlowThreshold > 0 && elapsed >= s.cfg.SlowThreshold {
+func (s *Server) observeFlight(c *specCall) {
+	ev := &c.ev
+	if s.cfg.SlowThreshold > 0 && c.elapsed >= s.cfg.SlowThreshold {
 		s.reg.Add("server.slow_checks", 1)
 		s.log.Warn("slow check",
 			"request_id", ev.RequestID, "trace_id", ev.TraceID, "spec_digest", ev.SpecDigest,
-			"elapsed", elapsed, "threshold", s.cfg.SlowThreshold)
+			"elapsed", c.elapsed, "threshold", s.cfg.SlowThreshold)
 	}
-	file := s.flight.Observe(flight.Request{
-		TraceID:     ev.TraceID,
-		RequestID:   ev.RequestID,
-		SpecDigest:  ev.SpecDigest,
-		Op:          op,
-		DTD:         req.DTD,
-		Constraints: req.Constraints,
-		Status:      ev.Status,
-		Abort:       ev.Abort,
-		Verdict:     ev.Verdict,
-		Elapsed:     elapsed,
-		Rec:         rec,
-		Progress:    pub,
+	file := s.flight.Observe(*ev, flight.Capture{
+		DTD:         c.req.DTD,
+		Constraints: c.req.Constraints,
+		Rec:         c.rec,
+		Progress:    c.pub,
 	})
 	if file != "" {
 		s.reg.Add("server.slow_captures", 1)
@@ -725,9 +682,9 @@ func (s *Server) checkContext(ctx context.Context, deadlineMS int64) (context.Co
 	return context.WithTimeout(ctx, d)
 }
 
-// internal converts the JSON options to facade options. The handlers
-// attach the progress publisher and force the attribution ledger on
-// afterwards.
+// internal converts the JSON options to facade options. The pipeline
+// attaches the progress publisher afterwards, and the /check core
+// forces the attribution ledger on.
 func (o CheckOptions) internal() *xmlspec.Options {
 	return &xmlspec.Options{
 		MaxSolverNodes:  o.MaxSolverNodes,
@@ -768,9 +725,7 @@ func (s *Server) writeTraceFile(id string, rec *obs.Recorder) {
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		s.log.Error("response encode failed", "err", err)
 	}
 }

@@ -66,15 +66,20 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postCheck(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
+// specPaths are the two endpoints that share the request pipeline;
+// tests of the pipeline's own behavior run over both.
+var specPaths = []string{"/check", "/explain"}
+
+// postSpec POSTs a spec request to path (/check or /explain).
+func postSpec(t *testing.T, ts *httptest.Server, path string, req CheckRequest) (*http.Response, []byte) {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/check", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("POST /check: %v", err)
+		t.Fatalf("POST %s: %v", path, err)
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
@@ -84,22 +89,29 @@ func postCheck(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Respo
 	return resp, out
 }
 
+func postCheck(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
+	t.Helper()
+	return postSpec(t, ts, "/check", req)
+}
+
 func postExplain(t *testing.T, ts *httptest.Server, req CheckRequest) (*http.Response, []byte) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatalf("marshal: %v", err)
+	return postSpec(t, ts, "/explain", req)
+}
+
+// counterValue reads one sample from the registry's exposition.
+func counterValue(t *testing.T, reg *telemetry.Registry, name string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
 	}
-	resp, err := http.Post(ts.URL+"/explain", "application/json", bytes.NewReader(body))
+	exp, err := telemetry.ParseExposition(b.String())
 	if err != nil {
-		t.Fatalf("POST /explain: %v", err)
+		t.Fatalf("parse: %v", err)
 	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatalf("read body: %v", err)
-	}
-	return resp, out
+	smp, _ := exp.Sample(name)
+	return smp.Value
 }
 
 func TestHealthz(t *testing.T) {
@@ -255,24 +267,42 @@ func TestExplainDeadline(t *testing.T) {
 }
 
 func TestCheckParseErrors(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	for _, endpoint := range specPaths {
+		t.Run(endpoint, func(t *testing.T) {
+			reg := telemetry.NewRegistry("")
+			_, ts := newTestServer(t, Config{Registry: reg, MaxRequestBytes: 256})
 
-	resp, err := http.Post(ts.URL+"/check", "application/json", strings.NewReader("{not json"))
-	if err != nil {
-		t.Fatalf("POST: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed JSON: status = %d, want 400", resp.StatusCode)
-	}
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader("{not json"))
+			if err != nil {
+				t.Fatalf("POST: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("malformed JSON: status = %d, want 400", resp.StatusCode)
+			}
 
-	resp2, out := postCheck(t, ts, CheckRequest{DTD: "<!NOT A DTD>", Constraints: ""})
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad DTD: status = %d, want 400: %s", resp2.StatusCode, out)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil || er.Kind != "parse" {
-		t.Errorf("error body = %s (err %v), want kind parse", out, err)
+			resp2, out := postSpec(t, ts, endpoint, CheckRequest{DTD: "<!NOT A DTD>", Constraints: ""})
+			if resp2.StatusCode != http.StatusBadRequest {
+				t.Errorf("bad DTD: status = %d, want 400: %s", resp2.StatusCode, out)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(out, &er); err != nil || er.Kind != "parse" {
+				t.Errorf("error body = %s (err %v), want kind parse", out, err)
+			}
+
+			// A body over MaxRequestBytes is a parse rejection too.
+			resp3, out3 := postSpec(t, ts, endpoint, CheckRequest{DTD: strings.Repeat(" ", 256) + libraryDTD, Constraints: libraryConstraints})
+			if resp3.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("oversized body: status = %d, want 413: %s", resp3.StatusCode, out3)
+			}
+			var er3 ErrorResponse
+			if err := json.Unmarshal(out3, &er3); err != nil || er3.Kind != "parse" {
+				t.Errorf("error body = %s (err %v), want kind parse", out3, err)
+			}
+			if n := counterValue(t, reg, "xmlconsist_server_errors_parse_total"); n != 3 {
+				t.Errorf("server_errors_parse_total = %v, want 3 (every parse rejection counted)", n)
+			}
+		})
 	}
 }
 
@@ -390,17 +420,21 @@ func TestMetricsExposition(t *testing.T) {
 }
 
 func TestMaxInflight(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxInflight: 1})
-	// Occupy the only slot directly — deterministic, no timing games.
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	resp, out := postCheck(t, ts, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status = %d, want 429: %s", resp.StatusCode, out)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(out, &er); err != nil || er.Kind != "overload" {
-		t.Fatalf("error body = %s (err %v), want kind overload", out, err)
+	for _, endpoint := range specPaths {
+		t.Run(endpoint, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxInflight: 1})
+			// Occupy the only slot directly — deterministic, no timing games.
+			s.inflight.Add(1)
+			defer s.inflight.Add(-1)
+			resp, out := postSpec(t, ts, endpoint, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status = %d, want 429: %s", resp.StatusCode, out)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(out, &er); err != nil || er.Kind != "overload" {
+				t.Fatalf("error body = %s (err %v), want kind overload", out, err)
+			}
+		})
 	}
 }
 
@@ -428,30 +462,35 @@ func TestPanicRecovery(t *testing.T) {
 	}
 }
 
+// TestTraceDir: both ops store their trace as check-<request-id>.json.
 func TestTraceDir(t *testing.T) {
-	dir := t.TempDir()
-	_, ts := newTestServer(t, Config{TraceDir: dir})
-	resp, out := postCheck(t, ts, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("check failed: %d %s", resp.StatusCode, out)
-	}
-	var cr CheckResponse
-	if err := json.Unmarshal(out, &cr); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	path := filepath.Join(dir, fmt.Sprintf("check-%s.json", cr.RequestID))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("trace file: %v", err)
-	}
-	var trace struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &trace); err != nil {
-		t.Fatalf("trace is not Chrome trace JSON: %v", err)
-	}
-	if len(trace.TraceEvents) == 0 {
-		t.Fatalf("trace has no events")
+	for _, endpoint := range specPaths {
+		t.Run(endpoint, func(t *testing.T) {
+			dir := t.TempDir()
+			_, ts := newTestServer(t, Config{TraceDir: dir})
+			resp, out := postSpec(t, ts, endpoint, CheckRequest{DTD: libraryDTD, Constraints: libraryConstraints})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("check failed: %d %s", resp.StatusCode, out)
+			}
+			var cr CheckResponse
+			if err := json.Unmarshal(out, &cr); err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("check-%s.json", cr.RequestID))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("trace file: %v", err)
+			}
+			var trace struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(data, &trace); err != nil {
+				t.Fatalf("trace is not Chrome trace JSON: %v", err)
+			}
+			if len(trace.TraceEvents) == 0 {
+				t.Fatalf("trace has no events")
+			}
+		})
 	}
 }
 
@@ -545,22 +584,26 @@ func TestAuditTrail(t *testing.T) {
 }
 
 func TestAuditRecordsAborts(t *testing.T) {
-	s, ts := newTestServer(t, Config{})
 	in := experiments.Fig3Unary(rand.New(rand.NewSource(7)), 16)
-	resp, out := postCheck(t, ts, CheckRequest{
-		DTD:         in.D.String(),
-		Constraints: in.Set.String(),
-		DeadlineMS:  1,
-	})
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, out)
-	}
-	recent := s.audit.Recent(1)
-	if len(recent) != 1 {
-		t.Fatalf("no audit event for aborted check")
-	}
-	if recent[0].Abort != "deadline" || recent[0].Status != http.StatusGatewayTimeout || recent[0].Verdict != "" {
-		t.Errorf("abort event = %+v", recent[0])
+	for _, endpoint := range specPaths {
+		t.Run(endpoint, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			resp, out := postSpec(t, ts, endpoint, CheckRequest{
+				DTD:         in.D.String(),
+				Constraints: in.Set.String(),
+				DeadlineMS:  1,
+			})
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("status = %d, want 504: %s", resp.StatusCode, out)
+			}
+			recent := s.audit.Recent(1)
+			if len(recent) != 1 {
+				t.Fatalf("no audit event for aborted check")
+			}
+			if recent[0].Abort != "deadline" || recent[0].Status != http.StatusGatewayTimeout || recent[0].Verdict != "" {
+				t.Errorf("abort event = %+v", recent[0])
+			}
+		})
 	}
 }
 
@@ -822,9 +865,9 @@ func TestDebugInflight(t *testing.T) {
 	pub.Restart()
 	pub.Publish(introspect.Progress{Nodes: 1234, Pivots: 56, LPCalls: 7, BoundLo: 2, BoundHi: -1})
 	s.runningMu.Lock()
-	s.running["req-test"] = &runningCheck{
-		ID: "req-test", SpecDigest: "spec-cafecafecafecafe",
-		StartedAt: time.Now().Add(-time.Second), pub: pub,
+	s.running["req-test"] = &specCall{
+		ev:    audit.Event{RequestID: "req-test", SpecDigest: "spec-cafecafecafecafe"},
+		start: time.Now().Add(-time.Second), pub: pub,
 	}
 	s.runningMu.Unlock()
 	defer func() {

@@ -187,22 +187,22 @@ func (s *Server) status() Status {
 	return st
 }
 
-// inflightRows snapshots the running checks: the registration row from
-// the handler joined with the latest progress snapshot the solver
-// published (Snapshot never blocks the search). Rows are sorted
-// longest-running first.
+// inflightRows snapshots the running checks: each call's identity
+// joined with the latest progress snapshot its solver published
+// (Snapshot never blocks the search). Rows are sorted longest-running
+// first.
 func (s *Server) inflightRows() []StatusInflight {
 	s.runningMu.Lock()
 	now := time.Now()
 	rows := make([]StatusInflight, 0, len(s.running))
-	for _, rc := range s.running {
+	for _, c := range s.running {
 		row := StatusInflight{
-			RequestID:  rc.ID,
-			TraceID:    rc.TraceID,
-			SpecDigest: rc.SpecDigest,
-			ElapsedMS:  now.Sub(rc.StartedAt).Milliseconds(),
+			RequestID:  c.ev.RequestID,
+			TraceID:    c.ev.TraceID,
+			SpecDigest: c.ev.SpecDigest,
+			ElapsedMS:  now.Sub(c.start).Milliseconds(),
 		}
-		if pr, ok := rc.pub.Snapshot(); ok {
+		if pr, ok := c.pub.Snapshot(); ok {
 			row.Phase = pr.Phase
 			row.ScopeIndex = pr.ScopeIndex
 			row.ScopeKey = pr.ScopeKey
